@@ -21,11 +21,11 @@
    The probe is timed --runs times (default 5); the gate compares the
    median, and the p90 rides along as a tail-latency indicator.  The
    measured numbers land in _build/perfgate.json for CI to upload, so
-   the trajectory is recorded even when the gate passes, and one
-   history record is appended to baselines/history.jsonl (--history to
-   redirect, --no-history to skip) so rfh trend sees the cross-run
-   series.  If the threshold file does not exist yet it is recorded
-   from the current measurement (the regress-gate convention). *)
+   the trajectory is recorded even when the gate passes.  With
+   --history FILE one history record is appended to FILE so rfh trend
+   sees the cross-run series; without it no tracked file is touched.
+   If the threshold file does not exist yet it is recorded from the
+   current measurement (the regress-gate convention). *)
 
 let baseline_path = "baselines/perfgate.json"
 let artifact_path = "_build/perfgate.json"
@@ -45,12 +45,10 @@ let timed_runs =
   | Some _ -> prerr_endline "perfgate: --runs wants a positive integer"; exit 2
   | None -> default_timed_runs
 
-let history_path =
-  if Array.exists (( = ) "--no-history") Sys.argv then None
-  else Some (Option.value ~default:"baselines/history.jsonl" (arg_value "--history"))
+let history_path = arg_value "--history"
 
-(* Same workload and configuration as the sim:perf-two-level stage
-   test in bench/main.ml, so the two numbers are comparable. *)
+(* MatrixMul on 8 warps under the two-level scheduler, capped at 300
+   dynamic instructions per warp: one short run of the cycle loop. *)
 let bench_ctx () = Alloc.Context.create (Rfh.benchmark "MatrixMul")
 
 let run_once ctx =

@@ -10,11 +10,6 @@ val artefact_names : (string * artefact) list
 
 val tables_of : Options.t -> artefact -> Util.Table.t list
 
-val run : Options.t -> artefact list -> unit
-(** Print each artefact's tables to stdout. *)
-
-val run_all : Options.t -> unit
-
 val clear_caches : unit -> unit
 (** Reset every experiment memo table (cold-regeneration timing). *)
 

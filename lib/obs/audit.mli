@@ -53,33 +53,10 @@ type event =
   | Strand_boundary of { instr : int; strand : int }
   | Desched of { warp : int; instr : int; cause : cause }
 
-val is_enabled : unit -> bool
-(** Cheap flag read — call sites guard event construction with it. *)
+(** {1 Recorder} *)
 
-val emit : event -> unit
-(** Forward to the installed sink; a no-op when disabled. *)
-
-val set_sink : (event -> unit) -> unit
-(** Install a sink and enable emission. *)
-
-val set_enabled : bool -> unit
-(** Toggle emission without replacing the sink. *)
-
-val disable : unit -> unit
-(** Stop emitting and drop the installed sink. *)
-
-(** {1 Sinks} *)
-
-val memory_sink : unit -> (event -> unit) * (unit -> event list)
-(** Collecting sink; the getter returns events in emission order. *)
-
-val jsonl_sink : out_channel -> event -> unit
-(** One compact JSON object per line. *)
-
-val printer_sink : Format.formatter -> event -> unit
-(** Human-readable one-line-per-event rendering (the [-v] output). *)
-
-val tee : (event -> unit) list -> event -> unit
+include Recorder.S with type event := event
+(** [printer_sink] is the human-readable [-v] output. *)
 
 (** {1 Encoding} *)
 

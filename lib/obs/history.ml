@@ -57,8 +57,7 @@ let bench_point_of_bench (b : Manifest.bench) =
         b.Manifest.stalls;
   }
 
-let of_manifest ?timestamp ?host ?perfgate ?engine ?gc ?jobs2_slower ~source ~wall_s
-    (m : Manifest.t) =
+let of_manifest ?timestamp ?host ~source ~wall_s (m : Manifest.t) =
   {
     timestamp = (match timestamp with Some s -> s | None -> Host.utc_now ());
     source;
@@ -66,10 +65,10 @@ let of_manifest ?timestamp ?host ?perfgate ?engine ?gc ?jobs2_slower ~source ~wa
     jobs = m.Manifest.options.Manifest.jobs;
     wall_s;
     benches = List.map bench_point_of_bench m.Manifest.benches;
-    perfgate;
-    engine;
-    gc;
-    jobs2_slower;
+    perfgate = None;
+    engine = None;
+    gc = None;
+    jobs2_slower = None;
   }
 
 (* ------------------------------------------------------------------ *)

@@ -2,11 +2,12 @@
 
     Every other observability layer (manifests, timelines, engine
     profiles) describes exactly one run; this one accumulates.  Each
-    appender — the bench harness, the perfgate, [rfh … --history-out]
-    — adds one schema-versioned line to [baselines/history.jsonl]
-    carrying whatever that run measured: per-benchmark IPC /
-    normalized energy / stall-cause shares, perfgate ns-per-run and
-    minor words, engine useful/spawn/idle shares, total wall time —
+    appender — the perfgate ([--history FILE]) and
+    [rfh … --history-out FILE] — adds one schema-versioned line to a
+    history file (CI accumulates [baselines/history.jsonl]) carrying
+    whatever that run measured: per-benchmark IPC / normalized energy
+    / stall-cause shares, perfgate ns-per-run and minor words, total
+    wall time —
     always stamped with the UTC timestamp, host fingerprint (which
     includes the git revision and dirty flag) and jobs setting.
     {!Trend} turns the accumulated series into drift verdicts and
@@ -66,24 +67,21 @@ type t = {
   perfgate : perfgate option;
   engine : engine option;
   gc : gc option;  (** GC capture summary of the same window as [engine] *)
-  jobs2_slower : bool option;
-      (** Part 4's warning: run_all at jobs=2 lost to serial *)
+  jobs2_slower : bool option;  (** run_all at jobs=2 lost to serial *)
 }
+(** [engine], [gc] and [jobs2_slower] are no longer produced; they are
+    kept so older history lines decode and re-encode byte for byte. *)
 
 val of_manifest :
   ?timestamp:string ->
   ?host:Host.t ->
-  ?perfgate:perfgate ->
-  ?engine:engine ->
-  ?gc:gc ->
-  ?jobs2_slower:bool ->
   source:string ->
   wall_s:float ->
   Manifest.t ->
   t
 (** Build a record from a collected run manifest: one {!bench_point}
     per manifest bench (stall counts converted to shares), [jobs] from
-    the manifest options.  [timestamp]/[host] default to now/here —
+    the manifest options, no optional sections.  [timestamp]/[host] default to now/here —
     pass them explicitly to get byte-reproducible records in tests. *)
 
 val to_json : t -> Json.t

@@ -1,7 +1,8 @@
 (* Engine-profiler tests: the exact wall x domains accounting, memo
    classification, lock contention counting, recorder neutrality
-   (manifest byte-parity across --jobs with the recorder on or off) and
-   the engine-report JSON round-trip. *)
+   (manifest byte-parity across --jobs with the recorder on or off),
+   the engine-report JSON round-trip, and the [rfh engine] command's
+   engine + GC outputs end to end. *)
 
 let check = Alcotest.check
 
@@ -227,6 +228,62 @@ let test_trace_events_shape () =
       | None -> () (* metadata rows carry no ts *))
     events
 
+(* --- rfh engine end to end: engine and GC views in one command ------ *)
+
+let rfh_exe = "../bin/rfh.exe"
+
+let read_json path =
+  match Obs.Json.parse (In_channel.with_open_text path In_channel.input_all) with
+  | Ok j -> j
+  | Error e -> Alcotest.failf "%s: %s" path e
+
+let test_engine_cli_gc () =
+  if not (Sys.file_exists rfh_exe) then Alcotest.skip ();
+  let dir = Filename.temp_file "engine" ".d" in
+  Sys.remove dir;
+  Sys.mkdir dir 0o755;
+  let json = Filename.concat dir "engine.json" in
+  let trace = Filename.concat dir "trace.json" in
+  let out = Filename.concat dir "out.txt" in
+  Fun.protect
+    ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+    (fun () ->
+      check Alcotest.int "exit 0" 0
+        (Sys.command
+           (Printf.sprintf
+              "%s engine fig2 -b mm --warps 4 --jobs 1,2 --json-out %s --trace-out %s > %s 2>&1"
+              rfh_exe json trace out));
+      let text = In_channel.with_open_text out In_channel.input_all in
+      let contains needle =
+        let n = String.length needle and len = String.length text in
+        let rec go i = i + n <= len && (String.sub text i n = needle || go (i + 1)) in
+        go 0
+      in
+      check Alcotest.bool "engine speedup table printed" true (contains "Engine speedup");
+      check Alcotest.bool "GC summary table printed" true
+        (contains "GC pauses (share of useful task time)");
+      (match Obs.Json.to_list (read_json json) with
+       | Some reports ->
+         check Alcotest.int "one report per jobs setting" 2 (List.length reports);
+         List.iter
+           (fun r ->
+             match Obs.Json.member "gc" r with
+             | Some (Obs.Json.Obj _) -> ()
+             | _ -> Alcotest.fail "engine report without a gc object")
+           reports
+       | None -> Alcotest.fail "engine json is not an array");
+      let pids =
+        Option.value ~default:[]
+          (Option.bind (Obs.Json.member "traceEvents" (read_json trace)) Obs.Json.to_list)
+        |> List.filter_map (fun ev -> Option.bind (Obs.Json.member "pid" ev) Obs.Json.to_int)
+      in
+      check Alcotest.bool "trace has engine rows (pid 4)" true
+        (List.mem Obs.Trace_export.engine_pid pids);
+      check Alcotest.bool "trace has gc rows (pid 5)" true
+        (List.mem Obs.Trace_export.gc_pid pids))
+
 let suite =
   [
     Alcotest.test_case "region accounting is exact" `Quick (isolated test_region_accounting);
@@ -239,4 +296,5 @@ let suite =
       (isolated test_manifest_parity_recorder_off_and_on);
     Alcotest.test_case "report JSON round-trip" `Quick (isolated test_report_json_roundtrip);
     Alcotest.test_case "trace rows on the engine pid" `Quick (isolated test_trace_events_shape);
+    Alcotest.test_case "rfh engine prints and exports gc" `Quick test_engine_cli_gc;
   ]

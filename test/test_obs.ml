@@ -404,6 +404,81 @@ let test_audit_prng_roundtrip () =
          if ev' <> ev then Alcotest.failf "round-trip changed event: %s" encoded)
   done
 
+(* --- Obs.Recorder, over all three instances ------------------------ *)
+
+(* Two domains each emit [n] events into one memory sink: the recorder
+   mutex must deliver exactly 2n of them, each once.  [disable] must
+   stop emission and drop the sink, so re-enabling without a new sink
+   records nothing. *)
+let recorder_contract (type e) name (module R : Obs.Recorder.S with type event = e)
+    (mk : int -> e) =
+  let n = 20_000 in
+  Fun.protect ~finally:R.disable (fun () ->
+      let sink, events = R.memory_sink () in
+      R.set_sink sink;
+      check Alcotest.bool (name ^ ": set_sink enables") true (R.is_enabled ());
+      (* Both domains start emitting together, so their emits overlap. *)
+      let ready = Atomic.make 0 in
+      let emitters =
+        List.init 2 (fun d ->
+            Domain.spawn (fun () ->
+                Atomic.incr ready;
+                while Atomic.get ready < 2 do
+                  Domain.cpu_relax ()
+                done;
+                for i = 0 to n - 1 do
+                  R.emit (mk ((d * n) + i))
+                done))
+      in
+      List.iter Domain.join emitters;
+      let got = events () in
+      check Alcotest.int (name ^ ": 2n events arrive") (2 * n) (List.length got);
+      check Alcotest.int (name ^ ": each exactly once") (2 * n)
+        (List.length (List.sort_uniq compare got));
+      R.disable ();
+      check Alcotest.bool (name ^ ": disable turns it off") false (R.is_enabled ());
+      R.emit (mk 0);
+      check Alcotest.int (name ^ ": disabled emit is a no-op") (2 * n) (List.length (events ()));
+      R.set_enabled true;
+      R.emit (mk 0);
+      check Alcotest.int (name ^ ": disable dropped the sink") (2 * n)
+        (List.length (events ())))
+
+let test_recorder_instances () =
+  recorder_contract "audit"
+    (module Obs.Audit : Obs.Recorder.S with type event = Obs.Audit.event)
+    (fun i -> Obs.Audit.Place { warp = i; instr = i; level = Obs.Audit.Lrf });
+  recorder_contract "explain"
+    (module struct
+      type event = Obs.Explain.decision
+
+      include (Obs.Explain : Obs.Recorder.S with type event := Obs.Explain.decision)
+    end)
+    (fun seq ->
+      {
+        Obs.Explain.seq;
+        kernel = "K";
+        reg = "%r1";
+        kind = "write_unit";
+        strand = 0;
+        width = 1;
+        first = seq;
+        last = seq + 1;
+        defs = [ seq ];
+        covered = [];
+        dropped_reads = 0;
+        mrf_copy = false;
+        candidates = [];
+        outcome = Obs.Explain.To_mrf;
+      });
+  recorder_contract "timeline"
+    (module struct
+      type event = Obs.Timeline.interval
+
+      include (Obs.Timeline : Obs.Recorder.S with type event := Obs.Timeline.interval)
+    end)
+    (fun i -> { Obs.Timeline.warp = i; state = Obs.Timeline.Issued; start = i; stop = i + 1 })
+
 (* --- Per-domain trace tracks -------------------------------------- *)
 
 let test_trace_domain_tids () =
@@ -605,6 +680,7 @@ let suite =
     Alcotest.test_case "allocator reports into audit" `Quick (isolated test_audit_events_from_allocator);
     Alcotest.test_case "histogram p99" `Quick (isolated test_histogram_p99);
     Alcotest.test_case "audit Prng round-trip" `Quick (isolated test_audit_prng_roundtrip);
+    Alcotest.test_case "recorder: two domains, disable" `Quick (isolated test_recorder_instances);
     Alcotest.test_case "per-domain trace tids" `Quick (isolated test_trace_domain_tids);
     Alcotest.test_case "manifest byte-stability" `Quick (isolated test_manifest_byte_stability);
     Alcotest.test_case "regress self-diff ok" `Quick (isolated test_regress_self_diff_ok);
