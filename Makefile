@@ -1,6 +1,6 @@
 # Convenience targets; `make ci` is what the CI workflow runs.
 
-.PHONY: all build test fmt parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate ci clean
+.PHONY: all build test fmt parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate fuzz ci clean
 
 all: build
 
@@ -129,7 +129,15 @@ why-smoke: build
 perfgate: build
 	dune exec bench/perfgate.exe
 
-ci: fmt build test parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate
+# Differential fuzzing (see bench/fuzz.ml): Workloads.Generator seeds
+# 0-999 through the Sim.Pipeline compile-and-measure path; every
+# placement must verify, SW energy must not exceed the Baseline's, and
+# the timing simulator must execute exactly the instructions the
+# traffic walk counted.  Exits 1 naming the failing seeds.
+fuzz: build
+	dune exec bench/fuzz.exe
+
+ci: fmt build test parity regress explain-smoke timeline-smoke engine-smoke trend-smoke why-smoke perfgate fuzz
 
 clean:
 	dune clean

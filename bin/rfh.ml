@@ -126,6 +126,25 @@ let exit_on_failures header = function
     List.iter (fun f -> prerr_endline ("  " ^ f)) failures;
     exit 1
 
+(* The gate half of the 0/1/2 exit contract (baseline check, trend
+   --check, why).  With [detail], exit 2 for an input that cannot be
+   judged; without, exit 1 for a failed gate.  Both lines name what the
+   other codes mean; [hint] adds one line of advice. *)
+let gate_exit ~cmd ?detail ?hint code meaning ~others =
+  (match detail with
+   | Some d -> Printf.eprintf "%s: %s\nexit %d: %s (%s).\n" cmd d code meaning others
+   | None -> Printf.eprintf "%s: FAILED — exit %d: %s (%s).\n" cmd code meaning others);
+  Option.iter prerr_endline hint;
+  exit code
+
+(* allocate and compile print a rejected placement's verifier errors
+   under one header on stderr. *)
+let report_unverified = function
+  | Ok () -> ()
+  | Error errs ->
+    prerr_endline "PLACEMENT FAILED VERIFICATION:";
+    List.iter prerr_endline errs
+
 let write_manifest_outputs ?compare m ~manifest_out ~report_out =
   Option.iter
     (fun path -> emit_file "manifest" path (fun path -> Obs.Manifest.write_file ~path m))
@@ -285,14 +304,10 @@ let allocate_cmd =
     setup_verbosity verbose;
     let e = find_bench name in
     let k = Lazy.force e.Workloads.Registry.kernel in
-    let ctx = Alloc.Context.create k in
     let config = Alloc.Config.make ~orf_entries:entries ~lrf () in
-    let placement, stats = Alloc.Allocator.run config ctx in
-    (match Alloc.Verify.check config ctx placement with
-     | Ok () -> ()
-     | Error errs ->
-       prerr_endline "PLACEMENT FAILED VERIFICATION:";
-       List.iter prerr_endline errs);
+    let c, verdict = Sim.Pipeline.compile ~config k in
+    let { Sim.Pipeline.context = ctx; placement; stats; _ } = c in
+    report_unverified verdict;
     Printf.printf "%s: %d strands; %d write units, %d read units; %d LRF + %d ORF allocations (%d partial)\n\n"
       e.Workloads.Registry.name
       (Strand.Partition.num_strands ctx.Alloc.Context.partition)
@@ -335,8 +350,7 @@ let selfcheck_cmd =
             List.iter
               (fun config ->
                 incr checked;
-                let placement = Alloc.Allocator.place config ctx in
-                match Alloc.Verify.check config ctx placement with
+                match Sim.Pipeline.verify (Sim.Pipeline.allocate config ctx) with
                 | Ok () -> ()
                 | Error errs ->
                   let where =
@@ -392,32 +406,19 @@ let compile_cmd =
     let source = really_input_string ic len in
     close_in ic;
     match Ir.Asm.parse ~name:(Filename.remove_extension (Filename.basename file)) source with
-    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 1
+    | Error msg -> prerr_endline ("parse error: " ^ msg); exit 2
     | Ok kernel ->
-      let ctx = Alloc.Context.create kernel in
       let config = Alloc.Config.make ~orf_entries:entries ~lrf () in
-      let placement = Alloc.Allocator.place config ctx in
-      (match Alloc.Verify.check config ctx placement with
-       | Ok () -> ()
-       | Error errs ->
-         prerr_endline "PLACEMENT FAILED VERIFICATION:";
-         List.iter prerr_endline errs;
-         exit 1);
+      let c, verdict = Sim.Pipeline.compile ~config kernel in
+      report_unverified verdict;
+      if Result.is_error verdict then exit 1;
       Ir.Kernel.iter_instrs kernel (fun _ i ->
-          let strand, boundary, dst, srcs = placement_cols ctx placement i in
+          let strand, boundary, dst, srcs =
+            placement_cols c.Sim.Pipeline.context c.Sim.Pipeline.placement i
+          in
           Printf.printf "s%-3d%s %-40s dst: %-18s srcs: %s\n" strand boundary
             (Ir.Instr.to_string i) dst srcs);
-      let traffic =
-        Sim.Traffic.run ~warps ~seed ctx (Sim.Traffic.Sw { config; placement })
-      in
-      let baseline = Sim.Traffic.run ~warps ~seed ctx Sim.Traffic.Baseline in
-      let energy c =
-        (Energy.Counts.energy config.Alloc.Config.params ~orf_entries:entries c)
-          .Energy.Counts.total
-      in
-      let ratio =
-        Util.Stats.ratio (energy traffic.Sim.Traffic.counts) (energy baseline.Sim.Traffic.counts)
-      in
+      let ratio = (Sim.Pipeline.measure ~warps ~seed c).Sim.Pipeline.normalized_energy in
       Printf.printf "\nnormalized register-file energy: %.3f (%.1f%% saved)\n" ratio
         (100.0 *. (1.0 -. ratio))
   in
@@ -498,49 +499,28 @@ let profile_cmd =
         (fun (e : Workloads.Registry.entry) ->
           let name = e.Workloads.Registry.name in
           Obs.Span.with_span ("benchmark:" ^ name) (fun () ->
-              let k = Lazy.force e.Workloads.Registry.kernel in
-              let ctx = Alloc.Context.create k in
-              let config = Alloc.Config.make ~orf_entries:entries ~lrf ~params () in
-              let placement, stats = Alloc.Allocator.run config ctx in
-              (match
-                 Obs.Span.with_span "verify" (fun () -> Alloc.Verify.check config ctx placement)
-               with
+              let ctx = Alloc.Context.create (Lazy.force e.Workloads.Registry.kernel) in
+              let c =
+                Sim.Pipeline.allocate (Alloc.Config.make ~orf_entries:entries ~lrf ~params ()) ctx
+              in
+              (match Obs.Span.with_span "verify" (fun () -> Sim.Pipeline.verify c) with
                | Ok () -> ()
                | Error errs ->
                  Printf.eprintf "%s: PLACEMENT FAILED VERIFICATION:\n  %s\n" name
                    (String.concat "\n  " errs));
-              let sw =
-                Sim.Traffic.run ~warps ~seed ctx (Sim.Traffic.Sw { config; placement })
-              in
-              let baseline = Sim.Traffic.run ~warps ~seed ctx Sim.Traffic.Baseline in
-              let e_sw, e_base =
-                Obs.Span.with_span "energy" (fun () ->
-                    ( (Energy.Counts.energy params ~orf_entries:entries sw.Sim.Traffic.counts)
-                        .Energy.Counts.total,
-                      (Energy.Counts.energy params ~orf_entries:entries
-                         baseline.Sim.Traffic.counts)
-                        .Energy.Counts.total ))
-              in
+              let m = Sim.Pipeline.measure ~warps ~seed c in
               let perf =
                 Sim.Perf.run ~warps ~seed ~scheduler:(Sim.Perf.Two_level 8)
                   ~policy:Sim.Perf.On_dependence ctx
               in
-              ( ( name,
-                  Strand.Partition.num_strands ctx.Alloc.Context.partition,
-                  stats,
-                  Util.Stats.ratio e_sw e_base,
-                  perf.Sim.Perf.ipc,
-                  sw.Sim.Traffic.dynamic_instrs,
-                  sw.Sim.Traffic.desched_events ),
-                (sw.Sim.Traffic.counts, baseline.Sim.Traffic.counts) )))
+              (name, c, m, perf.Sim.Perf.ipc)))
         selected
     in
     List.iter
-      (fun (_, (sw_counts, base_counts)) ->
-        Energy.Counts.merge_into ~dst:expected sw_counts;
-        Energy.Counts.merge_into ~dst:expected base_counts)
+      (fun (_, _, (m : Sim.Pipeline.measurement), _) ->
+        Energy.Counts.merge_into ~dst:expected m.traffic.Sim.Traffic.counts;
+        Energy.Counts.merge_into ~dst:expected m.baseline.Sim.Traffic.counts)
       rows;
-    let results = List.map fst rows in
     let wall_ms = Obs.Clock.ns_to_ms (Int64.sub (Obs.Clock.now_ns ()) wall_start) in
     (* Per-benchmark results. *)
     let t =
@@ -550,19 +530,19 @@ let profile_cmd =
             "Dyn instrs"; "Descheds" ]
     in
     List.iter
-      (fun (name, strands, stats, ratio, ipc, dyn, desched) ->
+      (fun (name, (c : Sim.Pipeline.compiled), (m : Sim.Pipeline.measurement), ipc) ->
         Util.Table.add_row t
           [
             name;
-            string_of_int strands;
-            string_of_int stats.Alloc.Allocator.lrf_allocated;
-            string_of_int stats.Alloc.Allocator.orf_allocated;
-            Printf.sprintf "%.3f" ratio;
+            string_of_int (Strand.Partition.num_strands c.context.Alloc.Context.partition);
+            string_of_int c.stats.Alloc.Allocator.lrf_allocated;
+            string_of_int c.stats.Alloc.Allocator.orf_allocated;
+            Printf.sprintf "%.3f" m.normalized_energy;
             Printf.sprintf "%.2f" ipc;
-            string_of_int dyn;
-            string_of_int desched;
+            string_of_int m.traffic.Sim.Traffic.dynamic_instrs;
+            string_of_int m.traffic.Sim.Traffic.desched_events;
           ])
-      results;
+      rows;
     Util.Table.print t;
     (* Per-phase timing. *)
     let pt =
@@ -719,12 +699,10 @@ let baseline_check_cmd =
       json_out why =
     match Obs.Manifest.read_file ~path with
     | Error msg ->
-      Printf.eprintf
-        "baseline check: cannot read %s (%s)\n\
-         exit 2: the golden manifest is missing or unreadable (1 = drift, 0 = match).\n\
-         Record one first: rfh baseline record\n"
-        path msg;
-      exit 2
+      gate_exit ~cmd:"baseline check"
+        ~detail:(Printf.sprintf "cannot read %s (%s)" path msg)
+        ~hint:"Record one first: rfh baseline record" 2
+        "the golden manifest is missing or unreadable" ~others:"1 = drift, 0 = match"
     | Ok baseline ->
       let opts = opts_of ~warps ~seed ~benchmarks ~jobs in
       let current = Experiments.Run_manifest.collect opts in
@@ -745,10 +723,9 @@ let baseline_check_cmd =
               "baseline why: no metric or stall cause found — the drift is in a field the \
                probes do not summarize (see the violations table)."
         end;
-        prerr_endline
-          "baseline check: FAILED — exit 1: a compared field drifted from the golden \
-           manifest (0 = match, 2 = baseline missing or unreadable).";
-        exit 1
+        gate_exit ~cmd:"baseline check" 1
+          "a compared field drifted from the golden manifest"
+          ~others:"0 = match, 2 = baseline missing or unreadable"
       end
   in
   Cmd.v (Cmd.info "check" ~doc)
@@ -861,13 +838,12 @@ let trend_cmd =
       match g.Obs.Trend.g_exit with
       | 0 -> print_endline "trend check: OK — no sustained drift in any gated series."
       | 2 ->
-        Printf.eprintf
-          "trend check: only %d record%s in %s\n\
-           exit 2: need at least 3 history records to judge drift (1 = drift, 0 = clean).\n"
-          (Array.length recs)
-          (if Array.length recs = 1 then "" else "s")
-          history_path;
-        exit 2
+        gate_exit ~cmd:"trend check"
+          ~detail:
+            (Printf.sprintf "only %d record%s in %s" (Array.length recs)
+               (if Array.length recs = 1 then "" else "s")
+               history_path)
+          2 "need at least 3 history records to judge drift" ~others:"1 = drift, 0 = clean"
       | _ ->
         List.iter
           (fun (f : Obs.Trend.failure) ->
@@ -910,10 +886,8 @@ let trend_cmd =
               | None -> ())
             indices
         end;
-        prerr_endline
-          "trend check: FAILED — exit 1: a gated series shows a sustained regression \
-           (0 = clean, 2 = not enough history).";
-        exit 1
+        gate_exit ~cmd:"trend check" 1 "a gated series shows a sustained regression"
+          ~others:"0 = clean, 2 = not enough history"
   in
   Cmd.v (Cmd.info "trend" ~doc)
     Term.(const run $ history_arg $ html_out_arg $ check_arg $ why_arg $ csv_arg)
@@ -964,12 +938,9 @@ let why_cmd =
   in
   let exit2 fmt =
     Printf.ksprintf
-      (fun msg ->
-        Printf.eprintf
-          "why: %s\nexit 2: an input is missing or unreadable (1 = self-check failure, \
-           0 = analysis produced).\n"
-          msg;
-        exit 2)
+      (fun detail ->
+        gate_exit ~cmd:"why" ~detail 2 "an input is missing or unreadable"
+          ~others:"1 = self-check failure, 0 = analysis produced")
       fmt
   in
   let run baseline_path candidate_path explain_a explain_b json_out report_out top =
@@ -1013,10 +984,8 @@ let why_cmd =
     | [] -> ()
     | issues ->
       List.iter (fun i -> Printf.eprintf "why self-check: %s\n" i) issues;
-      prerr_endline
-        "why: FAILED — exit 1: the attribution self-check failed (0 = analysis produced, \
-         2 = input missing or unreadable).";
-      exit 1);
+      gate_exit ~cmd:"why" 1 "the attribution self-check failed"
+        ~others:"0 = analysis produced, 2 = input missing or unreadable");
     match Obs.Rootcause.top_cause r with
     | Some c ->
       Printf.printf "why: top cause — %s: %s — %s\n" c.Obs.Rootcause.c_bench
@@ -1098,14 +1067,8 @@ let explain_cmd =
     let per_kernel =
       List.map
         (fun k ->
-          let ctx = Alloc.Context.create k in
-          let placement, stats = Alloc.Allocator.run config ctx in
-          let sw =
-            Sim.Traffic.run ~warps ~seed ~attribution:true ctx
-              (Sim.Traffic.Sw { config; placement })
-          in
-          let baseline = Sim.Traffic.run ~warps ~seed ctx Sim.Traffic.Baseline in
-          (k, ctx, placement, stats, sw, baseline))
+          let c = Sim.Pipeline.allocate config (Alloc.Context.create k) in
+          (k, c, Sim.Pipeline.measure ~warps ~seed ~attribution:true c))
         kernels
     in
     (* Everything below reads the recorder's memory; stop recording
@@ -1115,24 +1078,17 @@ let explain_cmd =
     let all_decisions = decisions () in
     let reports =
       List.map
-        (fun (k, ctx, placement, stats, sw, baseline) ->
+        (fun (k, (c : Sim.Pipeline.compiled), (m : Sim.Pipeline.measurement)) ->
+          let { Sim.Pipeline.context = ctx; placement; stats; _ } = c in
+          let sw = m.Sim.Pipeline.traffic in
           let kname = k.Ir.Kernel.name in
           let ds =
             List.filter (fun d -> d.Obs.Explain.kernel = kname) all_decisions
           in
           let energies =
-            Energy.Counts.attributed_energies params ~orf_entries:entries
-              sw.Sim.Traffic.counts
+            Energy.Counts.attributed_energies params ~orf_entries:entries sw.Sim.Traffic.counts
           in
           let total_pj = Array.fold_left ( +. ) 0.0 energies in
-          let e_sw =
-            (Energy.Counts.energy params ~orf_entries:entries sw.Sim.Traffic.counts)
-              .Energy.Counts.total
-          in
-          let e_base =
-            (Energy.Counts.energy params ~orf_entries:entries baseline.Sim.Traffic.counts)
-              .Energy.Counts.total
-          in
           let placed =
             List.length (List.filter Obs.Explain.placed ds)
           in
@@ -1142,7 +1098,7 @@ let explain_cmd =
             kname (List.length ds) stats.Alloc.Allocator.write_units
             stats.Alloc.Allocator.read_units placed
             (List.length ds - placed)
-            (Util.Stats.ratio e_sw e_base);
+            m.Sim.Pipeline.normalized_energy;
           (* Decision table. *)
           let dt =
             Util.Table.create ~title:(Printf.sprintf "Decisions: %s" kname)
@@ -1642,6 +1598,15 @@ let engine_cmd =
       Obs.Span.set_enabled true
     end;
     let check, failures = failure_log () in
+    (* One untimed warm-up window pays the one-time state the memo
+       reset below does not clear — starting the Runtime_events capture
+       and building the selected benchmarks' lazy kernels — so the first
+       setting does not pay for it and overstate the others' speedup. *)
+    ignore
+      (Obs.Engine.profile ~label:"warm-up" ~jobs:1 (fun () ->
+           List.iter
+             (fun (e : Workloads.Registry.entry) -> ignore (Lazy.force e.Workloads.Registry.kernels))
+             (opts_of ~warps ~seed ~benchmarks ~jobs:1).Experiments.Options.benchmarks));
     (* One profiled window per jobs setting.  Caches are cleared before
        every window so each run recomputes the same work from scratch —
        the walls are comparable and the memo tables show their real

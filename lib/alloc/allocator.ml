@@ -594,27 +594,34 @@ let run_inner config (ctx : Context.t) =
           ~pos:r.Analysis.Duchain.slot level)
       c.covered
   in
+  (* Only the definitions inside the unit's reserved interval write the
+     upper level.  A later definition of a merged group (a hammock side
+     past the last covered read, or one whose reads were shortened
+     away) reaches none of the covered reads — strands hold no cycles —
+     and its write would clobber whatever holds the entry after the
+     interval ends; it goes to the MRF only. *)
+  let set_defs_dest c dest =
+    match c.kind with
+    | Write_unit { defs } ->
+      let _, last = interval_of c in
+      List.iter
+        (fun d ->
+          Placement.set_dest placement ~instr:d (if d < last then dest else Placement.mrf_only))
+        defs
+    | Read_unit -> assert false
+  in
   List.iter
     (fun (c, bank) ->
-      (match c.kind with
-       | Write_unit { defs } ->
-         List.iter
-           (fun d ->
-             Placement.set_dest placement ~instr:d
-               { Placement.to_lrf = Some bank; to_orf = None; to_mrf = c.mrf_write_required })
-           defs
-       | Read_unit -> assert false);
+      set_defs_dest c
+        { Placement.to_lrf = Some bank; to_orf = None; to_mrf = c.mrf_write_required };
       set_covered_srcs (Placement.From_lrf bank) c)
     !lrf_allocs;
   List.iter
     (fun (c, entry) ->
       match c.kind with
-      | Write_unit { defs } ->
-        List.iter
-          (fun d ->
-            Placement.set_dest placement ~instr:d
-              { Placement.to_lrf = None; to_orf = Some entry; to_mrf = c.mrf_write_required })
-          defs;
+      | Write_unit _ ->
+        set_defs_dest c
+          { Placement.to_lrf = None; to_orf = Some entry; to_mrf = c.mrf_write_required };
         set_covered_srcs (Placement.From_orf entry) c
       | Read_unit ->
         (match c.covered with

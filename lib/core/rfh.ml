@@ -10,25 +10,22 @@ module Sim = Sim
 module Workloads = Workloads
 module Experiments = Experiments
 
-type compiled = {
+type compiled = Sim.Pipeline.compiled = {
   context : Alloc.Context.t;
   config : Alloc.Config.t;
   placement : Alloc.Placement.t;
   stats : Alloc.Allocator.stats;
 }
 
-let compile ?(config = Alloc.Config.make ()) kernel =
-  let context = Alloc.Context.create kernel in
-  let placement, stats = Alloc.Allocator.run config context in
-  (match Alloc.Verify.check config context placement with
-   | Ok () -> ()
-   | Error errs ->
-     failwith
-       (Printf.sprintf "Rfh.compile: placement verification failed (library bug):\n%s"
-          (String.concat "\n" errs)));
-  { context; config; placement; stats }
+let compile ?config kernel =
+  match Sim.Pipeline.compile ?config kernel with
+  | c, Ok () -> c
+  | _, Error errs ->
+    failwith
+      (Printf.sprintf "Rfh.compile: placement verification failed (library bug):\n%s"
+         (String.concat "\n" errs))
 
-type measurement = {
+type measurement = Sim.Pipeline.measurement = {
   traffic : Sim.Traffic.result;
   baseline : Sim.Traffic.result;
   total_energy_pj : float;
@@ -37,31 +34,7 @@ type measurement = {
   savings_percent : float;
 }
 
-let measure ?(warps = 32) ?(seed = 0x5eed) compiled =
-  let { context; config; placement; _ } = compiled in
-  let traffic =
-    Sim.Traffic.run ~warps ~seed context (Sim.Traffic.Sw { config; placement })
-  in
-  let baseline = Sim.Traffic.run ~warps ~seed context Sim.Traffic.Baseline in
-  let params = config.Alloc.Config.params in
-  let entries = config.Alloc.Config.orf_entries in
-  let total_energy_pj =
-    (Energy.Counts.energy params ~orf_entries:entries traffic.Sim.Traffic.counts)
-      .Energy.Counts.total
-  in
-  let baseline_energy_pj =
-    (Energy.Counts.energy params ~orf_entries:entries baseline.Sim.Traffic.counts)
-      .Energy.Counts.total
-  in
-  let normalized_energy = Util.Stats.ratio total_energy_pj baseline_energy_pj in
-  {
-    traffic;
-    baseline;
-    total_energy_pj;
-    baseline_energy_pj;
-    normalized_energy;
-    savings_percent = 100.0 *. (1.0 -. normalized_energy);
-  }
+let measure ?warps ?seed compiled = Sim.Pipeline.measure ?warps ?seed compiled
 
 let benchmark name =
   match Workloads.Registry.find name with

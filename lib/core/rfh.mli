@@ -33,7 +33,7 @@ module Sim = Sim
 module Workloads = Workloads
 module Experiments = Experiments
 
-type compiled = {
+type compiled = Sim.Pipeline.compiled = {
   context : Alloc.Context.t;
   config : Alloc.Config.t;
   placement : Alloc.Placement.t;
@@ -41,14 +41,14 @@ type compiled = {
 }
 
 val compile : ?config:Alloc.Config.t -> Ir.Kernel.t -> compiled
-(** Analyse the kernel, partition it into strands and run the
-    allocator.  The default configuration is the paper's most
-    efficient: 3 ORF entries per thread, split LRF, partial-range and
-    read-operand allocation enabled.
+(** {!Sim.Pipeline.compile}: analyse the kernel, partition it into
+    strands and run the allocator.  The default configuration is the
+    paper's most efficient: 3 ORF entries per thread, split LRF,
+    partial-range and read-operand allocation enabled.
     @raise Failure if the resulting placement fails verification —
     this indicates a library bug, not a user error. *)
 
-type measurement = {
+type measurement = Sim.Pipeline.measurement = {
   traffic : Sim.Traffic.result;
   baseline : Sim.Traffic.result;
   total_energy_pj : float;     (** per-128-bit-access units, see Energy.Counts *)
@@ -58,8 +58,14 @@ type measurement = {
 }
 
 val measure : ?warps:int -> ?seed:int -> compiled -> measurement
-(** Execute the kernel's warps, count hierarchy traffic and convert it
-    to energy using the compile configuration's parameters. *)
+(** {!Sim.Pipeline.measure}: execute the kernel's warps, count
+    hierarchy traffic and convert it to energy using the compile
+    configuration's parameters.
+
+    Each warp walks at most {!Sim.Traffic.default_max_dynamic_per_warp}
+    (100,000) dynamic instructions; {!Sim.Perf.run} stops at 2,000 per
+    warp by default, so pass it that constant as
+    [~max_dynamic_per_warp] to compare instruction counts. *)
 
 val benchmark : string -> Ir.Kernel.t
 (** Look up a Table-1 benchmark kernel by name.

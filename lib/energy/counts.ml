@@ -5,7 +5,7 @@ let level_index = function Model.Mrf -> 0 | Model.Orf -> 1 | Model.Rfc -> 2 | Mo
 let dp_index = function Model.Private -> 0 | Model.Shared -> 1
 
 (* Optional per-instruction attribution: when enabled, every count
-   carrying a [?pc] also lands in a pc-indexed row of [areads]/
+   carrying a pc also lands in a pc-indexed row of [areads]/
    [awrites] (laid out [pc * cells + cell]) so energy can be charged
    back to the static instruction that caused the access.  The
    aggregate arrays stay authoritative; attribution is a side table
@@ -82,25 +82,10 @@ let merge_into ~dst src =
 let attr_bump arr a c pc n =
   if pc >= 0 && pc < a.instrs then arr.((pc * attr_cells) + c) <- arr.((pc * attr_cells) + c) + n
 
-let add_read t level dp ?pc ?(n = 1) () =
-  let c = cell level dp in
-  t.reads.(c) <- t.reads.(c) + n;
-  match (t.attrib, pc) with
-  | Some a, Some pc -> attr_bump a.areads a c pc n
-  | _ -> ()
-
-let add_write t level dp ?pc ?(n = 1) () =
-  let c = cell level dp in
-  t.writes.(c) <- t.writes.(c) + n;
-  match (t.attrib, pc) with
-  | Some a, Some pc -> attr_bump a.awrites a c pc n
-  | _ -> ()
-
-(* Hot-loop variants: plain labelled ints, so calls box nothing —
-   [add_read t l dp ~pc () ] allocates a [Some pc] per call, which is
-   most of what the traffic simulator's attribution path allocated.
+(* Plain labelled ints, so calls box nothing (an optional [?pc] would
+   allocate a [Some pc] per call on the simulators' hot paths).
    [pc = -1] counts in the aggregate and is dropped from attribution,
-   exactly like an out-of-range [?pc]. *)
+   exactly like any out-of-range pc. *)
 
 let bump_read t level dp ~pc ~n =
   let c = cell level dp in
@@ -116,12 +101,6 @@ let bump_rfc_probe t ~pc ~n =
   t.probes <- t.probes + n;
   match t.attrib with
   | Some a when pc >= 0 && pc < a.instrs -> a.aprobes.(pc) <- a.aprobes.(pc) + n
-  | _ -> ()
-
-let add_rfc_probe t ?pc ?(n = 1) () =
-  t.probes <- t.probes + n;
-  match (t.attrib, pc) with
-  | Some a, Some pc when pc >= 0 && pc < a.instrs -> a.aprobes.(pc) <- a.aprobes.(pc) + n
   | _ -> ()
 
 let reads t level = t.reads.(cell level Model.Private) + t.reads.(cell level Model.Shared)

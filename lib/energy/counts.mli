@@ -14,35 +14,25 @@ val merge_into : dst:t -> t -> unit
     copy of [src]'s table if it has none).
     @raise Invalid_argument if both carry tables of different sizes. *)
 
-val add_read : t -> Model.level -> Model.datapath -> ?pc:int -> ?n:int -> unit -> unit
-(** [?pc] is the static instruction id the access belongs to; it feeds
-    the attribution table when one is enabled and is ignored (at the
-    cost of one branch) otherwise.  Out-of-range pcs are dropped from
-    attribution but still counted in the aggregate. *)
-
-val add_write : t -> Model.level -> Model.datapath -> ?pc:int -> ?n:int -> unit -> unit
-
-val add_rfc_probe : t -> ?pc:int -> ?n:int -> unit -> unit
-(** RFC tag lookups that miss (tag energy, no data access). *)
-
-(** {2 Allocation-free variants}
-
-    Same counting semantics as the [add_*] functions, with plain
-    labelled int arguments instead of options: a call allocates nothing
-    (the [?pc] optionals box a [Some] per call).  Pass [pc = -1] for "no
-    attribution" — it counts in the aggregate and is dropped from the
-    attribution table, like any out-of-range pc.  These are what the
-    simulators' per-instruction paths use. *)
-
 val bump_read : t -> Model.level -> Model.datapath -> pc:int -> n:int -> unit
+(** Count [n] reads.  [pc] is the static instruction id the accesses
+    belong to: it feeds the attribution table when one is enabled.  Pass
+    [pc = -1] for "no attribution" — the reads count in the aggregate
+    and are dropped from the table, like any out-of-range pc.  A call
+    allocates nothing; these are what the simulators' per-instruction
+    paths use. *)
+
 val bump_write : t -> Model.level -> Model.datapath -> pc:int -> n:int -> unit
+
 val bump_rfc_probe : t -> pc:int -> n:int -> unit
+(** RFC tag lookups that miss (tag energy, no data access). *)
 
 (** {1 Per-instruction attribution}
 
-    Off by default: [create] allocates no side table and the [?pc]
+    Off by default: [create] allocates no side table and the [pc]
     arguments cost one branch.  After [enable_attribution t ~instrs],
-    every count carrying a [?pc] is also charged to that instruction,
+    every count carrying an in-range [pc] is also charged to that
+    instruction,
     so energy can be ranked over the static instruction stream.  The
     attribution table never feeds {!to_json} — manifests are
     unaffected. *)
@@ -62,7 +52,7 @@ val instr_energy : Params.t -> orf_entries:int -> t -> pc:int -> float
 val attributed_energies : Params.t -> orf_entries:int -> t -> float array
 (** Per-pc attributed energy for the whole instruction stream; [[||]]
     when attribution is off.  Sums to {!energy}'s [total] when every
-    recorded count carried a [?pc]. *)
+    recorded count carried an in-range [pc]. *)
 
 val top_instrs : Params.t -> orf_entries:int -> ?n:int -> t -> (int * float) list
 (** The [n] highest-energy instructions as [(pc, pJ)], energy

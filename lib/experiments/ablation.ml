@@ -4,42 +4,23 @@ type variant = {
   delta_vs_full : float;
 }
 
-let sw_ratio (opts : Options.t) e config =
-  let energy =
-    List.fold_left
-      (fun acc ctx ->
-        let placement = Alloc.Allocator.place config ctx in
-        let traffic =
-          Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx
-            (Sim.Traffic.Sw { config; placement })
-        in
-        acc
-        +. (Energy.Counts.energy opts.Options.params ~orf_entries:config.Alloc.Config.orf_entries
-              traffic.Sim.Traffic.counts)
-             .Energy.Counts.total)
-      0.0 (Sweep.contexts e)
-  in
-  let base =
-    (Sweep.run opts e Sweep.Baseline ~entries:1).Sweep.energy.Energy.Counts.total
-  in
-  Util.Stats.ratio energy base
-
 let mean_sw (opts : Options.t) config =
-  Util.Stats.mean (List.map (fun e -> sw_ratio opts e config) opts.Options.benchmarks)
+  Util.Stats.mean
+    (List.map
+       (fun e -> Sweep.cell_ratio opts e (Sweep.Sw_cell { boundary_kinds = None; config }))
+       opts.Options.benchmarks)
 
 let hw_tagless_ratio (opts : Options.t) ~entries =
-  let tagless = Energy.Params.tagless in
   Util.Stats.mean
     (List.map
        (fun e ->
          let r = Sweep.run opts e Sweep.Hw_two ~entries in
          let energy =
-           (Energy.Counts.energy tagless ~orf_entries:entries
+           (Energy.Counts.energy Energy.Params.tagless ~orf_entries:entries
               r.Sweep.traffic.Sim.Traffic.counts)
              .Energy.Counts.total
          in
-         let base = (Sweep.run opts e Sweep.Baseline ~entries:1).Sweep.energy.Energy.Counts.total in
-         Util.Stats.ratio energy base)
+         Util.Stats.ratio energy (Sweep.baseline_pj opts e))
        opts.Options.benchmarks)
 
 let compute ?(entries = 3) (opts : Options.t) =

@@ -21,7 +21,7 @@ let compute ?(entries = 3) (opts : Options.t) =
       let eff = ref [] and div = ref 0 in
       List.iter
         (fun ctx ->
-          let placement = Alloc.Allocator.place config ctx in
+          let placement = (Sim.Pipeline.allocate config ctx).Sim.Pipeline.placement in
           let base = Sim.Simt.traffic ~warps ~seed:opts.Options.seed ctx ~scheme:`Baseline in
           let sw =
             Sim.Simt.traffic ~warps ~seed:opts.Options.seed ctx ~scheme:(`Sw (config, placement))

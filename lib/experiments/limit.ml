@@ -14,14 +14,11 @@ type result = {
 
 let mean_over opts f = Util.Stats.mean (List.map f opts.Options.benchmarks)
 
-let baseline_energy opts e =
-  (Sweep.run opts e Sweep.Baseline ~entries:1).Sweep.energy.Energy.Counts.total
-
 (* Re-price the baseline's access counts as if every operand lived at
    the given level (the idealized bounds). *)
 let repriced_ratio (opts : Options.t) e ~level ~entries =
   let params = opts.Options.params in
-  let counts = (Sweep.run opts e Sweep.Baseline ~entries:1).Sweep.traffic.Sim.Traffic.counts in
+  let counts = (Sweep.run_cell opts e Sweep.Baseline_cell).Sweep.traffic.Sim.Traffic.counts in
   let dp_list = match level with Energy.Model.Lrf -> [ Energy.Model.Private ] | _ -> [ Energy.Model.Private; Energy.Model.Shared ] in
   let total = ref 0.0 in
   List.iter
@@ -45,7 +42,7 @@ let repriced_ratio (opts : Options.t) e ~level ~entries =
         +. (float_of_int r *. Energy.Model.read_energy params ~orf_entries:entries level dp)
         +. (float_of_int w *. Energy.Model.write_energy params ~orf_entries:entries level dp))
     dp_list;
-  Util.Stats.ratio !total (baseline_energy opts e)
+  Util.Stats.ratio !total (Sweep.baseline_pj opts e)
 
 (* Oracle per-strand ORF sizing: for each strand pick the entry count
    that minimizes that strand's energy. *)
@@ -72,7 +69,7 @@ let variable_orf_ratio (opts : Options.t) e =
     in
     if best < infinity then oracle_total := !oracle_total +. best
   done;
-  Util.Stats.ratio !oracle_total (baseline_energy opts e)
+  Util.Stats.ratio !oracle_total (Sweep.baseline_pj opts e)
 
 (* Sec. 7's variable scheme under a realistic scheduler: compile for
    the full 8-entry namespace with MRF mirroring; 8 active warps share
@@ -86,57 +83,30 @@ let variable_realistic_ratio (opts : Options.t) e =
   let energy =
     List.fold_left
       (fun acc ctx ->
-        let placement = Alloc.Allocator.place config ctx in
+        let c = Sim.Pipeline.allocate config ctx in
         let r =
           Sim.Variable_orf.run ~active:8 ~warps:opts.Options.warps ~seed:opts.Options.seed
-            ~pool_entries:24 ~config ~placement ctx
+            ~pool_entries:24 ~config ~placement:c.Sim.Pipeline.placement ctx
         in
         acc
         +. (Energy.Counts.energy opts.Options.params ~orf_entries:3 r.Sim.Variable_orf.counts)
              .Energy.Counts.total)
       0.0 (Sweep.contexts e)
   in
-  Util.Stats.ratio energy (baseline_energy opts e)
+  Util.Stats.ratio energy (Sweep.baseline_pj opts e)
 
 let custom_sw_ratio (opts : Options.t) e ~boundary_kinds ~orf_entries ~cost_entries =
   let config =
     Alloc.Config.make ~orf_entries ~lrf:Alloc.Config.Split ~params:opts.Options.params
       ~orf_cost_entries:cost_entries ()
   in
-  let energy =
-    List.fold_left
-      (fun acc kernel ->
-        let ctx = Alloc.Context.create ?boundary_kinds kernel in
-        let placement = Alloc.Allocator.place config ctx in
-        let traffic =
-          Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx
-            (Sim.Traffic.Sw { config; placement })
-        in
-        acc
-        +. (Energy.Counts.energy opts.Options.params ~orf_entries:cost_entries
-              traffic.Sim.Traffic.counts)
-             .Energy.Counts.total)
-      0.0
-      (Lazy.force e.Workloads.Registry.kernels)
-  in
-  Util.Stats.ratio energy (baseline_energy opts e)
+  Sweep.cell_ratio opts e (Sweep.Sw_cell { boundary_kinds; config })
 
 let hw_ratio (opts : Options.t) e ~flush_on_backward =
-  let energy =
-    List.fold_left
-      (fun acc ctx ->
-        let traffic =
-          Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx
-            (Sim.Traffic.Hw
-               { (Sim.Traffic.hw_defaults ~rfc_entries:3) with
-                 Sim.Traffic.flush_on_backward_branch = flush_on_backward })
-        in
-        acc
-        +. (Energy.Counts.energy opts.Options.params ~orf_entries:3 traffic.Sim.Traffic.counts)
-             .Energy.Counts.total)
-      0.0 (Sweep.contexts e)
-  in
-  Util.Stats.ratio energy (baseline_energy opts e)
+  Sweep.cell_ratio opts e
+    (Sweep.Hw_cell
+       { (Sim.Traffic.hw_defaults ~rfc_entries:3) with
+         Sim.Traffic.flush_on_backward_branch = flush_on_backward })
 
 let compute (opts : Options.t) =
   let fixed_best = Sweep.mean_energy_ratio opts Sweep.Sw_three_split ~entries:3 in

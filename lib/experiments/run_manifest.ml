@@ -17,44 +17,22 @@ let lrf_name = function
   | Alloc.Config.Unified -> "unified"
   | Alloc.Config.Split -> "split"
 
-let scheme_of_lrf = function
-  | Alloc.Config.No_lrf -> Sweep.Sw_two
-  | Alloc.Config.Unified -> Sweep.Sw_three_unified
-  | Alloc.Config.Split -> Sweep.Sw_three_split
-
 let top_allocs_limit = 10
 
 (* Phase A: serial allocator replay with auditing on.  Returns the
    summed allocator stats per benchmark plus the audit digest.  The
    previously installed audit sink (if any) is dropped. *)
-let allocator_pass (opts : Options.t) ~entries ~lrf =
+let allocator_pass (opts : Options.t) config =
   let events = ref 0 and allocs = ref [] in
   Obs.Audit.set_sink (fun ev ->
       incr events;
       match ev with Obs.Audit.Alloc _ -> allocs := ev :: !allocs | _ -> ());
-  let config = Alloc.Config.make ~orf_entries:entries ~lrf ~params:opts.Options.params () in
   let stats =
     List.map
       (fun e ->
         Obs.Span.with_span "manifest.allocate" (fun () ->
-            List.fold_left
-              (fun (acc : Alloc.Allocator.stats) ctx ->
-                let _placement, s = Alloc.Allocator.run config ctx in
-                {
-                  Alloc.Allocator.write_units = acc.write_units + s.Alloc.Allocator.write_units;
-                  read_units = acc.read_units + s.Alloc.Allocator.read_units;
-                  lrf_allocated = acc.lrf_allocated + s.Alloc.Allocator.lrf_allocated;
-                  orf_allocated = acc.orf_allocated + s.Alloc.Allocator.orf_allocated;
-                  partial_allocated = acc.partial_allocated + s.Alloc.Allocator.partial_allocated;
-                })
-              {
-                Alloc.Allocator.write_units = 0;
-                read_units = 0;
-                lrf_allocated = 0;
-                orf_allocated = 0;
-                partial_allocated = 0;
-              }
-              (Sweep.contexts e)))
+            Sim.Pipeline.total_stats
+              (List.map (Sim.Pipeline.allocate config) (Sweep.contexts e))))
       opts.Options.benchmarks
   in
   Obs.Audit.disable ();
@@ -76,10 +54,10 @@ let allocator_pass (opts : Options.t) ~entries ~lrf =
     } )
 
 (* Phase B: parallel traffic/energy/IPC per benchmark. *)
-let bench_row (opts : Options.t) scheme ~entries (e : Workloads.Registry.entry)
+let bench_row (opts : Options.t) config (e : Workloads.Registry.entry)
     (stats : Alloc.Allocator.stats) =
-  let run = Sweep.run opts e scheme ~entries in
-  let base = Sweep.run opts e Sweep.Baseline ~entries:1 in
+  let run = Sweep.run_cell opts e (Sweep.Sw_cell { boundary_kinds = None; config }) in
+  let base = Sweep.run_cell opts e Sweep.Baseline_cell in
   let perf =
     Obs.Span.with_span "manifest.perf" (fun () ->
         Sim.Perf.run ~warps:opts.Options.warps ~seed:opts.Options.seed
@@ -133,12 +111,14 @@ let collect ?(entries = 3) ?(lrf = Alloc.Config.Split) (opts : Options.t) =
     ~finally:(fun () -> Obs.Span.set_enabled spans_were)
     (fun () ->
       Obs.Span.with_span "manifest.collect" (fun () ->
-          let scheme = scheme_of_lrf lrf in
-          let stats, audit = allocator_pass opts ~entries ~lrf in
+          let config =
+            Alloc.Config.make ~orf_entries:entries ~lrf ~params:opts.Options.params ()
+          in
+          let stats, audit = allocator_pass opts config in
           let rows =
             Util.Pool.parallel_map ~jobs:opts.Options.jobs
               ~label:"manifest.bench_row"
-              (fun (e, s) -> bench_row opts scheme ~entries e s)
+              (fun (e, s) -> bench_row opts config e s)
               (List.combine opts.Options.benchmarks stats)
           in
           let phases =

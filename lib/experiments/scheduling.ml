@@ -7,32 +7,17 @@ type row = {
   best : float;
 }
 
-let sw_energy (opts : Options.t) ~entries kernel =
-  let ctx = Alloc.Context.create kernel in
+(* SW and Baseline energy of one kernel, compiled and verified. *)
+let measure (opts : Options.t) ~entries kernel =
   let config =
     Alloc.Config.make ~orf_entries:entries ~lrf:Alloc.Config.Split ~params:opts.Options.params ()
   in
-  let placement = Alloc.Allocator.place config ctx in
-  (match Alloc.Verify.check config ctx placement with
-   | Ok () -> ()
-   | Error errs ->
-     failwith
-       (Printf.sprintf "scheduling study: %s failed verification: %s" kernel.Ir.Kernel.name
-          (String.concat "; " errs)));
-  let traffic =
-    Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx
-      (Sim.Traffic.Sw { config; placement })
-  in
-  (Energy.Counts.energy opts.Options.params ~orf_entries:entries traffic.Sim.Traffic.counts)
-    .Energy.Counts.total
-
-let baseline_energy (opts : Options.t) kernel =
-  let ctx = Alloc.Context.create kernel in
-  let traffic =
-    Sim.Traffic.run ~warps:opts.Options.warps ~seed:opts.Options.seed ctx Sim.Traffic.Baseline
-  in
-  (Energy.Counts.energy opts.Options.params ~orf_entries:1 traffic.Sim.Traffic.counts)
-    .Energy.Counts.total
+  match Sim.Pipeline.compile ~config kernel with
+  | _, Error errs ->
+    failwith
+      (Printf.sprintf "scheduling study: %s failed verification: %s" kernel.Ir.Kernel.name
+         (String.concat "; " errs))
+  | c, Ok () -> Sim.Pipeline.measure ~warps:opts.Options.warps ~seed:opts.Options.seed c
 
 let compute ?(entries = 3) ?(factor = 4) (opts : Options.t) =
   List.map
@@ -42,8 +27,11 @@ let compute ?(entries = 3) ?(factor = 4) (opts : Options.t) =
          unrolling changes the dynamic instruction count, so absolute
          energies are not comparable, ratios are. *)
       let ratio transform =
-        let sum f = List.fold_left (fun acc k -> acc +. f (transform k)) 0.0 ks in
-        Util.Stats.ratio (sum (sw_energy opts ~entries)) (sum (baseline_energy opts))
+        let ms = List.map (fun k -> measure opts ~entries (transform k)) ks in
+        let sum f = List.fold_left (fun acc m -> acc +. f m) 0.0 ms in
+        Util.Stats.ratio
+          (sum (fun m -> m.Sim.Pipeline.total_energy_pj))
+          (sum (fun m -> m.Sim.Pipeline.baseline_energy_pj))
       in
       let original = ratio Fun.id in
       let rescheduled = ratio Transform.Reschedule.kernel in

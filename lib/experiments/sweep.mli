@@ -22,9 +22,34 @@ type run = {
   energy : Energy.Counts.breakdown;  (** priced at the run's ORF size *)
 }
 
+(** What one memoized run simulates on every kernel of a benchmark. *)
+type cell =
+  | Baseline_cell  (** single-level register file, priced at the 1-entry row *)
+  | Sw_cell of { boundary_kinds : Strand.Partition.boundary_kinds option; config : Alloc.Config.t }
+  (** the allocator's placement under [config], on contexts built with
+      [boundary_kinds] (default: the paper's strands); priced with
+      [config]'s parameters at {!Alloc.Config.cost_entries} *)
+  | Hw_cell of Sim.Traffic.hw_options  (** priced at the RFC's entry row *)
+
+val cell : Options.t -> scheme -> entries:int -> cell
+(** The cell behind a figure scheme: SW schemes are the default
+    configuration with [entries] ORF entries and the scheme's LRF
+    mode; [Baseline] ignores [entries]. *)
+
+val run_cell : Options.t -> Workloads.Registry.entry -> cell -> run
+(** Memoized on (benchmark, cell, warps, seed, parameters): any SW
+    variant whose configuration equals a figure scheme's shares that
+    scheme's run. *)
+
 val run :
   Options.t -> Workloads.Registry.entry -> scheme -> entries:int -> run
-(** Memoized on (benchmark, scheme, entries, warps, seed). *)
+(** [run_cell] of [cell scheme ~entries]. *)
+
+val baseline_pj : Options.t -> Workloads.Registry.entry -> float
+(** Total energy of the benchmark's single-level baseline. *)
+
+val cell_ratio : Options.t -> Workloads.Registry.entry -> cell -> float
+(** A cell's total energy normalized to {!baseline_pj}. *)
 
 val context : Workloads.Registry.entry -> Alloc.Context.t
 (** Memoized compiler context for the benchmark's dominant kernel. *)

@@ -189,7 +189,8 @@ let parse ~name text =
       lines;
     (* Rebuild under the directive-provided name if it differs. *)
     let k = Builder.finalize b in
-    if !kernel_name = name then Ok k
+    if Kernel.instr_count k = 0 then Error "no instructions"
+    else if !kernel_name = name then Ok k
     else Ok (Kernel.make ~name:!kernel_name ~blocks:k.Kernel.blocks ~num_regs:k.Kernel.num_regs)
   with
   | Parse_error (line, msg) -> Error (Printf.sprintf "line %d: %s" line msg)

@@ -30,7 +30,9 @@
       without a terminator is an implicit fallthrough. *)
 
 val parse : name:string -> string -> (Kernel.t, string) result
-(** Errors carry 1-based line numbers. *)
+(** Errors carry 1-based line numbers; a text without a single
+    instruction (empty, or only labels and terminators) is the error
+    ["no instructions"]. *)
 
 val parse_exn : name:string -> string -> Kernel.t
 (** @raise Invalid_argument on parse errors. *)

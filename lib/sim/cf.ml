@@ -71,7 +71,9 @@ and fall_through t block steps =
   if block + 1 < Ir.Kernel.block_count t.kernel then settle t (block + 1) steps
   else stop t ~capped:false
 
-let reset t ?(max_dynamic = 100_000) kernel ~warp ~seed =
+let default_max_dynamic = 100_000
+
+let reset t ?(max_dynamic = default_max_dynamic) kernel ~warp ~seed =
   let nb = Ir.Kernel.block_count kernel in
   t.kernel <- kernel;
   t.warp <- warp;
@@ -89,7 +91,7 @@ let reset t ?(max_dynamic = 100_000) kernel ~warp ~seed =
   stop t ~capped:false;
   settle t 0 0
 
-let create ?(max_dynamic = 100_000) kernel ~warp ~seed =
+let create ?(max_dynamic = default_max_dynamic) kernel ~warp ~seed =
   let t =
     {
       kernel;

@@ -12,9 +12,14 @@
 
 type t
 
+val default_max_dynamic : int
+(** 100_000: the default dynamic-instruction cap per warp, shared by
+    every walker ({!Traffic.default_max_dynamic_per_warp} re-exports
+    it). *)
+
 val create : ?max_dynamic:int -> Ir.Kernel.t -> warp:int -> seed:int -> t
-(** [max_dynamic] (default 100_000) caps the dynamic instruction count
-    as a termination guard. *)
+(** [max_dynamic] (default {!default_max_dynamic}) caps the dynamic
+    instruction count as a termination guard. *)
 
 val reset : t -> ?max_dynamic:int -> Ir.Kernel.t -> warp:int -> seed:int -> unit
 (** Reinitialize in place for a fresh walk, reusing the per-block

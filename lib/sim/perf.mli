@@ -110,8 +110,14 @@ val run :
   policy:policy ->
   Alloc.Context.t ->
   result
-(** Defaults: 32 warps, 2_000 dynamic instructions per warp,
+(** Defaults: 32 warps, 2,000 dynamic instructions per warp,
     10_000_000-cycle guard.
+
+    The instruction cap is much shorter than the 100,000 per warp
+    ({!Traffic.default_max_dynamic_per_warp}) that {!Traffic.run} and
+    {!Pipeline.measure} walk: to compare instruction counts with a
+    traffic run of the same kernel, pass
+    [~max_dynamic_per_warp:Traffic.default_max_dynamic_per_warp].
 
     [mrf_banks] enables the banked-MRF refinement: the MRF is split
     into that many banks (Table 2: 32) and an instruction whose source

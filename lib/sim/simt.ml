@@ -31,8 +31,8 @@ let clusters_of ?(threads_per_warp = 32) mask =
 
 (* [postdom] is hoisted to a parameter so multi-warp drivers compute
    the CFG and post-dominator tree once per kernel, not once per warp. *)
-let run_warp_pre ?(threads_per_warp = 32) ?(max_dynamic = 100_000) postdom (k : Ir.Kernel.t)
-    ~warp ~seed ~on_instr =
+let run_warp_pre ?(threads_per_warp = 32) ?(max_dynamic = Cf.default_max_dynamic) postdom
+    (k : Ir.Kernel.t) ~warp ~seed ~on_instr =
   let nb = Ir.Kernel.block_count k in
   let full_mask = if threads_per_warp >= 62 then invalid_arg "Simt: threads_per_warp too large"
     else (1 lsl threads_per_warp) - 1
@@ -189,11 +189,10 @@ let traffic ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp (ctx : Alloc.Co
      accumulated across warps. *)
   let active_bins = Hashtbl.create 32 in
   let warp_instr = ref 0 in
-  let datapath_of_op op =
-    if Ir.Op.is_shared_datapath op then Energy.Model.Shared else Energy.Model.Private
+  let placement =
+    match scheme with `Baseline -> Alloc.Placement.baseline k | `Sw (_, placement) -> placement
   in
   let on_instr (i : Ir.Instr.t) ~active ~clusters =
-    let id = i.Ir.Instr.id in
     if co then begin
       let w = !warp_instr / counter_window in
       (match Hashtbl.find_opt active_bins w with
@@ -201,47 +200,29 @@ let traffic ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp (ctx : Alloc.Co
       | None -> Hashtbl.add active_bins w (ref active));
       incr warp_instr
     end;
-    let dp = datapath_of_op i.Ir.Instr.op in
-    match scheme with
-    | `Baseline ->
-      List.iter
-        (fun _ -> Energy.Counts.add_read counts Energy.Model.Mrf dp ~pc:id ~n:clusters ())
-        i.Ir.Instr.srcs;
-      if Option.is_some i.Ir.Instr.dst then
-        Energy.Counts.add_write counts Energy.Model.Mrf dp ~pc:id ~n:clusters ()
-    | `Sw (_, placement) ->
-      List.iteri
-        (fun pos _ ->
-          match Alloc.Placement.src placement ~instr:id ~pos with
-          | Alloc.Placement.From_mrf ->
-            Energy.Counts.add_read counts Energy.Model.Mrf dp ~pc:id ~n:clusters ()
-          | Alloc.Placement.From_orf _ ->
-            Energy.Counts.add_read counts Energy.Model.Orf dp ~pc:id ~n:clusters ()
-          | Alloc.Placement.From_lrf _ ->
-            Energy.Counts.add_read counts Energy.Model.Lrf Energy.Model.Private ~pc:id
-              ~n:clusters ())
-        i.Ir.Instr.srcs;
-      List.iter
-        (fun (_pos, _entry) ->
-          Energy.Counts.add_write counts Energy.Model.Orf dp ~pc:id ~n:clusters ())
-        (Alloc.Placement.fills_of placement ~instr:id);
-      (match i.Ir.Instr.dst, Alloc.Placement.dest placement ~instr:id with
-       | Some _, Some dest ->
-         if dest.Alloc.Placement.to_mrf then
-           Energy.Counts.add_write counts Energy.Model.Mrf dp ~pc:id ~n:clusters ();
-         if Option.is_some dest.Alloc.Placement.to_orf then
-           Energy.Counts.add_write counts Energy.Model.Orf dp ~pc:id ~n:clusters ();
-         if Option.is_some dest.Alloc.Placement.to_lrf then
-           Energy.Counts.add_write counts Energy.Model.Lrf Energy.Model.Private ~pc:id
-             ~n:clusters ()
-       | _, _ -> ())
+    Access.count counts placement ~id:i.Ir.Instr.id ~nsrcs:(List.length i.Ir.Instr.srcs)
+      ~has_dst:(Option.is_some i.Ir.Instr.dst)
+      ~dp:(if Ir.Op.is_shared_datapath i.Ir.Instr.op then Energy.Model.Shared
+           else Energy.Model.Private)
+      ~n:clusters ~orf_grant:max_int ~audit_warp:(-1)
   in
   let postdom = Analysis.Postdom.compute k (Analysis.Cfg.of_kernel k) in
-  let stats = ref None in
+  let stats =
+    ref
+      {
+        warp_instructions = 0;
+        thread_instructions = 0;
+        simd_efficiency = 1.0;
+        max_stack_depth = 0;
+        divergent_branches = 0;
+        reconvergences = 0;
+      }
+  in
   for w = 0 to warps - 1 do
     warp_instr := 0;
-    let s = run_warp_pre ?max_dynamic:max_dynamic_per_warp postdom k ~warp:w ~seed ~on_instr in
-    stats := Some (match !stats with None -> s | Some prev -> merge_stats prev s)
+    stats :=
+      merge_stats !stats
+        (run_warp_pre ?max_dynamic:max_dynamic_per_warp postdom k ~warp:w ~seed ~on_instr)
   done;
   if co then
     Hashtbl.fold (fun w r acc -> (w, !r) :: acc) active_bins []
@@ -250,18 +231,7 @@ let traffic ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp (ctx : Alloc.Co
            Obs.Counters.sample "simt.active_threads"
              ~at:(float_of_int (w * counter_window))
              (float_of_int v));
-  let stats =
-    Option.value !stats
-      ~default:
-        {
-          warp_instructions = 0;
-          thread_instructions = 0;
-          simd_efficiency = 1.0;
-          max_stack_depth = 0;
-          divergent_branches = 0;
-          reconvergences = 0;
-        }
-  in
+  let stats = !stats in
   Obs.Metrics.incr m_runs;
   Obs.Metrics.incr ~by:stats.divergent_branches m_divergent;
   Obs.Metrics.incr ~by:stats.reconvergences m_reconvergences;

@@ -26,11 +26,7 @@ let m_dynamic = Obs.Metrics.counter "sim.traffic.dynamic_instrs"
 let m_desched = Obs.Metrics.counter "sim.traffic.desched_events"
 let m_capped = Obs.Metrics.counter "sim.traffic.capped_warps"
 
-let audit_level = function
-  | Energy.Model.Mrf -> Obs.Audit.Mrf
-  | Energy.Model.Orf -> Obs.Audit.Orf
-  | Energy.Model.Lrf -> Obs.Audit.Lrf
-  | Energy.Model.Rfc -> Obs.Audit.Rfc
+let default_max_dynamic_per_warp = Cf.default_max_dynamic
 
 (* Dynamic-instruction window width for the counter tracks. *)
 let counter_window = 32
@@ -66,7 +62,16 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
   in
   let level_total c l = Energy.Counts.reads c l + Energy.Counts.writes c l in
   let nr = max 1 k.Ir.Kernel.num_regs in
-  let max_dynamic = match max_dynamic_per_warp with Some m -> m | None -> 100_000 in
+  let max_dynamic =
+    match max_dynamic_per_warp with Some m -> m | None -> default_max_dynamic_per_warp
+  in
+  (* Baseline is the compiler-managed rule over the all-MRF placement,
+     without the SW deschedule points. *)
+  let placement, sw =
+    match scheme with
+    | Sw { placement; _ } -> (placement, true)
+    | Baseline | Hw _ -> (Alloc.Placement.baseline k, false)
+  in
   Scratch.ensure_warps s ~warps ~num_regs:nr;
   Scratch.ensure_outstanding s nr;
   (* All loop helpers take every variable as an argument: a [let rec]
@@ -162,73 +167,41 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
        event (guarded on [au] so the common disabled path stays a plain
        counter bump): summing Place events per level therefore
        reproduces the Energy.Counts write totals exactly. *)
-    let emit_place level ~instr =
-      Obs.Audit.emit (Obs.Audit.Place { warp; instr; level = audit_level level })
-    in
-    let place c level dp ~instr =
-      Energy.Counts.bump_write c level dp ~pc:instr ~n:1;
-      if au then emit_place level ~instr
-    in
+    let audit_warp = if au then warp else -1 in
+    let place c level dp ~instr = Access.write c level dp ~id:instr ~n:1 ~audit_warp in
     let desched ~instr cause =
       incr desched_events;
       if au then Obs.Audit.emit (Obs.Audit.Desched { warp; instr; cause })
     in
     let evict ~instr level ~writeback =
       if au then
-        Obs.Audit.emit (Obs.Audit.Evict { warp; instr; level = audit_level level; writeback })
+        Obs.Audit.emit
+          (Obs.Audit.Evict { warp; instr; level = Access.audit_level level; writeback })
     in
-    (* Writeback one evicted RFC value if still live at the eviction point. *)
-    let writeback_rfc_evict c ~liveness_check ~instr reg =
+    (* Write one evicted value back to the MRF if still live at the
+       eviction point. *)
+    let writeback c ~liveness_check ~instr level reg =
       if liveness_check reg then begin
-        Energy.Counts.bump_read c Energy.Model.Rfc Energy.Model.Private ~pc:instr ~n:1;
-        evict ~instr Energy.Model.Rfc ~writeback:true;
+        Energy.Counts.bump_read c level Energy.Model.Private ~pc:instr ~n:1;
+        evict ~instr level ~writeback:true;
         place c Energy.Model.Mrf Energy.Model.Private ~instr
       end
-      else evict ~instr Energy.Model.Rfc ~writeback:false
+      else evict ~instr level ~writeback:false
     in
     let insert_rfc c cache ~liveness_check ~instr reg =
       Option.iter
-        (writeback_rfc_evict c ~liveness_check ~instr)
+        (writeback c ~liveness_check ~instr Energy.Model.Rfc)
         (Machine.Tagged_cache.insert cache reg);
       place c Energy.Model.Rfc Energy.Model.Private ~instr
     in
     let flush_caches c instr =
       let liveness_check = live_before_id instr in
-      Option.iter
-        (fun lrf ->
-          List.iter
-            (fun r ->
-              if liveness_check r then begin
-                Energy.Counts.bump_read c Energy.Model.Lrf Energy.Model.Private ~pc:instr ~n:1;
-                evict ~instr Energy.Model.Lrf ~writeback:true;
-                place c Energy.Model.Mrf Energy.Model.Private ~instr
-              end
-              else evict ~instr Energy.Model.Lrf ~writeback:false)
-            (Machine.Tagged_cache.flush lrf))
-        hw_lrf;
-      Option.iter
-        (fun cache ->
-          List.iter
-            (fun r ->
-              if liveness_check r then begin
-                Energy.Counts.bump_read c Energy.Model.Rfc Energy.Model.Private ~pc:instr ~n:1;
-                evict ~instr Energy.Model.Rfc ~writeback:true;
-                place c Energy.Model.Mrf Energy.Model.Private ~instr
-              end
-              else evict ~instr Energy.Model.Rfc ~writeback:false)
-            (Machine.Tagged_cache.flush cache))
-        rfc
+      let flush level cache =
+        List.iter (writeback c ~liveness_check ~instr level) (Machine.Tagged_cache.flush cache)
+      in
+      Option.iter (flush Energy.Model.Lrf) hw_lrf;
+      Option.iter (flush Energy.Model.Rfc) rfc
     in
-    (* Audit Fill events for the Sw scheme, walked without a per-step
-       closure. *)
-    let rec emit_fills id = function
-      | [] -> ()
-      | (pos, entry) :: tl ->
-        emit_place Energy.Model.Orf ~instr:id;
-        Obs.Audit.emit (Obs.Audit.Fill { warp; instr = id; pos; entry });
-        emit_fills id tl
-    in
-    let rec count_fills = function [] -> 0 | _ :: tl -> 1 + count_fills tl in
     let rec step () =
       let id = Cf.peek_id cf in
       if id < 0 then begin
@@ -249,50 +222,15 @@ let run_inner ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ?(long_latenc
         let b_orf = if co then level_total c Energy.Model.Orf else 0 in
         let b_lrf = if co then level_total c Energy.Model.Lrf else 0 in
         (match scheme with
-         | Baseline ->
-           Energy.Counts.bump_read c Energy.Model.Mrf consumer_dp ~pc:id ~n:ns;
-           if d >= 0 then begin
-             Energy.Counts.bump_write c Energy.Model.Mrf consumer_dp ~pc:id ~n:1;
-             if au then emit_place Energy.Model.Mrf ~instr:id
-           end
-         | Sw { placement; _ } ->
+         | Baseline | Sw _ ->
            (* Compiler-scheduled deschedule point. *)
-           if dec.Dec.starts_strand.(id) && o_any now then begin
+           if sw && dec.Dec.starts_strand.(id) && o_any now then begin
              desched ~instr:id Obs.Audit.Sw_boundary;
              s.Scratch.out_len <- 0
            end;
-           for pos = 0 to ns - 1 do
-             match Alloc.Placement.src placement ~instr:id ~pos with
-             | Alloc.Placement.From_mrf ->
-               Energy.Counts.bump_read c Energy.Model.Mrf consumer_dp ~pc:id ~n:1
-             | Alloc.Placement.From_orf _ ->
-               Energy.Counts.bump_read c Energy.Model.Orf consumer_dp ~pc:id ~n:1
-             | Alloc.Placement.From_lrf _ ->
-               Energy.Counts.bump_read c Energy.Model.Lrf Energy.Model.Private ~pc:id ~n:1
-           done;
-           let fills = Alloc.Placement.fills_of placement ~instr:id in
-           (match fills with
-            | [] -> ()
-            | _ ->
-              Energy.Counts.bump_write c Energy.Model.Orf consumer_dp ~pc:id
-                ~n:(count_fills fills);
-              if au then emit_fills id fills);
-           (match Alloc.Placement.dest placement ~instr:id with
-            | Some dest when d >= 0 ->
-              if dest.Alloc.Placement.to_mrf then begin
-                Energy.Counts.bump_write c Energy.Model.Mrf consumer_dp ~pc:id ~n:1;
-                if au then emit_place Energy.Model.Mrf ~instr:id
-              end;
-              if Option.is_some dest.Alloc.Placement.to_orf then begin
-                Energy.Counts.bump_write c Energy.Model.Orf consumer_dp ~pc:id ~n:1;
-                if au then emit_place Energy.Model.Orf ~instr:id
-              end;
-              if Option.is_some dest.Alloc.Placement.to_lrf then begin
-                Energy.Counts.bump_write c Energy.Model.Lrf Energy.Model.Private ~pc:id ~n:1;
-                if au then emit_place Energy.Model.Lrf ~instr:id
-              end;
-              if dec.Dec.is_ll.(id) then o_add d now
-            | _ -> ())
+           Access.count c placement ~id ~nsrcs:ns ~has_dst:(d >= 0) ~dp:consumer_dp ~n:1
+             ~orf_grant:max_int ~audit_warp;
+           if sw && d >= 0 && dec.Dec.is_ll.(id) then o_add d now
          | Hw opts ->
            let cache = Option.get rfc in
            (* Deschedule on an unresolved long-latency dependence. *)

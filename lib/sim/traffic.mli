@@ -46,6 +46,11 @@ type result = {
   capped_warps : int;  (** warps stopped by the dynamic-length cap *)
 }
 
+val default_max_dynamic_per_warp : int
+(** 100,000 ({!Cf.default_max_dynamic}): the dynamic instructions one
+    warp may walk before {!run} stops it and counts it in
+    [capped_warps].  {!Perf.run} defaults to a much shorter 2,000. *)
+
 val run :
   ?warps:int ->
   ?seed:int ->
@@ -57,6 +62,7 @@ val run :
   scheme ->
   result
 (** [warps] defaults to 32 (Table 2's machine-resident warps);
+    [max_dynamic_per_warp] to {!default_max_dynamic_per_warp};
     [long_latency_shadow] defaults to 50 (400 DRAM cycles divided by a
     warp's 1-in-8 issue share under the two-level scheduler).
 

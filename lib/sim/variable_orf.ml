@@ -68,33 +68,11 @@ let run ?(active = 8) ?(warps = 32) ?(seed = 0x5eed) ?max_dynamic_per_warp ~pool
     if got >= want then incr full_grants else incr partial_grants;
     entries_denied := !entries_denied + (want - got)
   in
+  (* Entries past the warp's grant fall back to the MRF mirror. *)
   let execute st (i : Ir.Instr.t) =
-    let id = i.Ir.Instr.id in
-    let dp = datapath_of_op i.Ir.Instr.op in
-    let in_grant e = e < st.grant in
-    List.iteri
-      (fun pos _ ->
-        match Alloc.Placement.src placement ~instr:id ~pos with
-        | Alloc.Placement.From_mrf -> Energy.Counts.add_read counts Energy.Model.Mrf dp ()
-        | Alloc.Placement.From_orf e ->
-          if in_grant e then Energy.Counts.add_read counts Energy.Model.Orf dp ()
-          else Energy.Counts.add_read counts Energy.Model.Mrf dp ()
-        | Alloc.Placement.From_lrf _ ->
-          Energy.Counts.add_read counts Energy.Model.Lrf Energy.Model.Private ())
-      i.Ir.Instr.srcs;
-    List.iter
-      (fun (_pos, e) ->
-        if in_grant e then Energy.Counts.add_write counts Energy.Model.Orf dp ())
-      (Alloc.Placement.fills_of placement ~instr:id);
-    match i.Ir.Instr.dst, Alloc.Placement.dest placement ~instr:id with
-    | Some _, Some dest ->
-      if dest.Alloc.Placement.to_mrf then Energy.Counts.add_write counts Energy.Model.Mrf dp ();
-      (match dest.Alloc.Placement.to_orf with
-       | Some e when in_grant e -> Energy.Counts.add_write counts Energy.Model.Orf dp ()
-       | Some _ | None -> ());
-      if Option.is_some dest.Alloc.Placement.to_lrf then
-        Energy.Counts.add_write counts Energy.Model.Lrf Energy.Model.Private ()
-    | _, _ -> ()
+    Access.count counts placement ~id:i.Ir.Instr.id ~nsrcs:(List.length i.Ir.Instr.srcs)
+      ~has_dst:(Option.is_some i.Ir.Instr.dst) ~dp:(datapath_of_op i.Ir.Instr.op) ~n:1
+      ~orf_grant:st.grant ~audit_warp:(-1)
   in
   (* Round-robin, one instruction per turn: concurrent strands compete
      for the pool exactly as concurrently-active warps would. *)

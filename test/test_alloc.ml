@@ -441,6 +441,21 @@ let test_verify_catches_shared_lrf () =
    | Ok () -> Alcotest.fail "verifier accepted a shared-datapath LRF read"
    | Error _ -> ())
 
+(* Generator kernels whose hammocks once made the allocator write an
+   ORF/LRF entry from a definition past its unit's reserved interval,
+   clobbering the value another unit held there (seeds at size
+   8 + 37*seed mod 57; the text is Ir.Asm.to_source of each). *)
+let hammock_seeds = [ 63; 148; 221; 453; 467; 636 ]
+
+let test_hammock_kernel seed () =
+  let path = Printf.sprintf "kernels/hammock_seed%d.asm" seed in
+  let k =
+    Ir.Asm.parse_exn ~name:(Filename.basename path) (In_channel.with_open_text path In_channel.input_all)
+  in
+  match Sim.Pipeline.compile k with
+  | _, Ok () -> ()
+  | _, Error errs -> Alcotest.failf "%s: %s" path (String.concat "; " errs)
+
 let suite =
   [
     Alcotest.test_case "occupancy basic" `Quick test_occupancy_basic;
@@ -470,3 +485,8 @@ let suite =
     Alcotest.test_case "verify: stale MRF read" `Quick test_verify_catches_missing_mrf_copy;
     Alcotest.test_case "verify: shared LRF read" `Quick test_verify_catches_shared_lrf;
   ]
+  @ List.map
+      (fun seed ->
+        Alcotest.test_case (Printf.sprintf "alloc: hammock seed %d verifies" seed) `Quick
+          (test_hammock_kernel seed))
+      hammock_seeds

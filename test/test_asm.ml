@@ -116,6 +116,25 @@ let prop_roundtrip_random =
         && Ir.Kernel.block_count k = Ir.Kernel.block_count k2
         && Ir.Asm.to_source k3 = normalized)
 
+(* rfh compile keeps the 0/1/2 contract: input it cannot compile — a
+   syntax error, or a file without a single instruction — is exit 2. *)
+let rfh_exe = "../bin/rfh.exe"
+
+let compile_exit src =
+  let path = Filename.temp_file "kernel" ".asm" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () ->
+      Out_channel.with_open_text path (fun oc -> output_string oc src);
+      Sys.command (Printf.sprintf "%s compile %s > /dev/null 2>&1" rfh_exe (Filename.quote path)))
+
+let test_cli_compile_exit_codes () =
+  if not (Sys.file_exists rfh_exe) then Alcotest.skip ();
+  check Alcotest.int "compiles" 0 (compile_exit saxpy_src);
+  check Alcotest.int "parse error is exit 2" 2 (compile_exit "frobnicate %a, %b\n");
+  check Alcotest.int "empty file is exit 2" 2 (compile_exit "");
+  check Alcotest.int "labels only is exit 2" 2 (compile_exit "entry:\n  ret\n")
+
 let suite =
   [
     Alcotest.test_case "parse saxpy" `Quick test_parse_saxpy;
@@ -123,6 +142,7 @@ let suite =
     Alcotest.test_case "wide loads" `Quick test_parse_wide;
     Alcotest.test_case "parse errors" `Quick test_parse_errors;
     Alcotest.test_case "line numbers" `Quick test_parse_line_numbers;
+    Alcotest.test_case "rfh compile exit codes" `Quick test_cli_compile_exit_codes;
     Alcotest.test_case "round-trip benchmarks" `Quick test_roundtrip_idempotent;
     QCheck_alcotest.to_alcotest prop_roundtrip_random;
   ]

@@ -57,9 +57,9 @@ let test_model_probe () =
 
 let test_counts_accumulate () =
   let c = Energy.Counts.create () in
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~n:3 ();
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Shared ();
-  Energy.Counts.add_write c Energy.Model.Orf Energy.Model.Private ~n:2 ();
+  Energy.Counts.bump_read c Energy.Model.Mrf Energy.Model.Private ~pc:(-1) ~n:3;
+  Energy.Counts.bump_read c Energy.Model.Mrf Energy.Model.Shared ~pc:(-1) ~n:1;
+  Energy.Counts.bump_write c Energy.Model.Orf Energy.Model.Private ~pc:(-1) ~n:2;
   check Alcotest.int "mrf reads" 4 (Energy.Counts.reads c Energy.Model.Mrf);
   check Alcotest.int "per dp" 3 (Energy.Counts.reads_dp c Energy.Model.Mrf Energy.Model.Private);
   check Alcotest.int "orf writes" 2 (Energy.Counts.writes c Energy.Model.Orf);
@@ -68,17 +68,17 @@ let test_counts_accumulate () =
 
 let test_counts_merge_copy () =
   let a = Energy.Counts.create () in
-  Energy.Counts.add_read a Energy.Model.Lrf Energy.Model.Private ();
+  Energy.Counts.bump_read a Energy.Model.Lrf Energy.Model.Private ~pc:(-1) ~n:1;
   let b = Energy.Counts.copy a in
-  Energy.Counts.add_read b Energy.Model.Lrf Energy.Model.Private ();
+  Energy.Counts.bump_read b Energy.Model.Lrf Energy.Model.Private ~pc:(-1) ~n:1;
   check Alcotest.int "copy independent" 1 (Energy.Counts.reads a Energy.Model.Lrf);
   Energy.Counts.merge_into ~dst:a b;
   check Alcotest.int "merged" 3 (Energy.Counts.reads a Energy.Model.Lrf)
 
 let test_counts_energy_exact () =
   let c = Energy.Counts.create () in
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~n:10 ();
-  Energy.Counts.add_write c Energy.Model.Mrf Energy.Model.Private ~n:5 ();
+  Energy.Counts.bump_read c Energy.Model.Mrf Energy.Model.Private ~pc:(-1) ~n:10;
+  Energy.Counts.bump_write c Energy.Model.Mrf Energy.Model.Private ~pc:(-1) ~n:5;
   let bd = Energy.Counts.energy p ~orf_entries:3 c in
   (* 10 reads * (8 + 7.6) + 5 writes * (11 + 7.6) = 156 + 93 = 249. *)
   check feq "total" 249.0 bd.Energy.Counts.total;
@@ -91,13 +91,13 @@ let test_counts_energy_exact () =
 
 let test_counts_probe_energy () =
   let c = Energy.Counts.create () in
-  Energy.Counts.add_rfc_probe c ~n:10 ();
+  Energy.Counts.bump_rfc_probe c ~pc:(-1) ~n:10;
   let bd = Energy.Counts.energy p ~orf_entries:3 c in
   check feq "probes cost tag energy" 2.0 bd.Energy.Counts.total
 
 let test_counts_lrf_shared_rejected () =
   let c = Energy.Counts.create () in
-  Energy.Counts.add_read c Energy.Model.Lrf Energy.Model.Shared ();
+  Energy.Counts.bump_read c Energy.Model.Lrf Energy.Model.Shared ~pc:(-1) ~n:1;
   Alcotest.check_raises "rejected at pricing"
     (Invalid_argument "Energy.Counts: LRF accessed from the shared datapath") (fun () ->
       ignore (Energy.Counts.energy p ~orf_entries:3 c))

@@ -284,6 +284,37 @@ let test_engine_cli_gc () =
       check Alcotest.bool "trace has gc rows (pid 5)" true
         (List.mem Obs.Trace_export.gc_pid pids))
 
+(* With no parallel region the serial work is the same at every jobs
+   setting, so no setting may run several times faster than jobs=1: a
+   first window that also paid one-time start-up (the Runtime_events
+   capture, the lazily built kernels) once reported 13-18x here. *)
+let test_engine_cli_no_warmup_speedup () =
+  if not (Sys.file_exists rfh_exe) then Alcotest.skip ();
+  let json = Filename.temp_file "engine" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove json)
+    (fun () ->
+      check Alcotest.int "exit 0" 0
+        (Sys.command
+           (Printf.sprintf "%s engine fig2 -b mm --warps 4 --jobs 1,2,3 --json-out %s > /dev/null 2>&1"
+              rfh_exe json));
+      let walls =
+        List.map
+          (fun j ->
+            match Obs.Engine.of_json j with
+            | Ok r -> (r.Obs.Engine.jobs, float_of_int r.Obs.Engine.wall_ns)
+            | Error e -> Alcotest.failf "engine report: %s" e)
+          (Option.value ~default:[] (Obs.Json.to_list (read_json json)))
+      in
+      check Alcotest.int "three reports" 3 (List.length walls);
+      let serial = List.assoc 1 walls in
+      List.iter
+        (fun (j, wall) ->
+          if serial /. wall > 3.0 then
+            Alcotest.failf "jobs=%d reports %.1fx over jobs=1 with no parallel region" j
+              (serial /. wall))
+        walls)
+
 let suite =
   [
     Alcotest.test_case "region accounting is exact" `Quick (isolated test_region_accounting);
@@ -297,4 +328,6 @@ let suite =
     Alcotest.test_case "report JSON round-trip" `Quick (isolated test_report_json_roundtrip);
     Alcotest.test_case "trace rows on the engine pid" `Quick (isolated test_trace_events_shape);
     Alcotest.test_case "rfh engine prints and exports gc" `Quick test_engine_cli_gc;
+    Alcotest.test_case "rfh engine first window pays no start-up" `Quick
+      test_engine_cli_no_warmup_speedup;
   ]

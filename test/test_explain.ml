@@ -233,7 +233,7 @@ let test_attribution_sums_to_total () =
 
 let test_attribution_off_is_empty () =
   let c = Energy.Counts.create () in
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~pc:0 ~n:3 ();
+  Energy.Counts.bump_read c Energy.Model.Mrf Energy.Model.Private ~pc:0 ~n:3;
   check Alcotest.bool "off by default" false (Energy.Counts.attribution_enabled c);
   check Alcotest.int "no table" 0
     (Array.length (Energy.Counts.attributed_energies Energy.Params.default ~orf_entries:3 c));
@@ -244,14 +244,14 @@ let test_top_instrs_ordering () =
   let c = Energy.Counts.create () in
   Energy.Counts.enable_attribution c ~instrs:4;
   (* pc 2 heaviest, pcs 0 and 3 tie, pc 1 zero. *)
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~pc:2 ~n:10 ();
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~pc:0 ~n:2 ();
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~pc:3 ~n:2 ();
+  Energy.Counts.bump_read c Energy.Model.Mrf Energy.Model.Private ~pc:2 ~n:10;
+  Energy.Counts.bump_read c Energy.Model.Mrf Energy.Model.Private ~pc:0 ~n:2;
+  Energy.Counts.bump_read c Energy.Model.Mrf Energy.Model.Private ~pc:3 ~n:2;
   let top = Energy.Counts.top_instrs Energy.Params.default ~orf_entries:3 ~n:3 c in
   check Alcotest.(list int) "energy descending, pc ascending on ties" [ 2; 0; 3 ]
     (List.map fst top);
   (* Out-of-range pcs are dropped from attribution, still counted. *)
-  Energy.Counts.add_write c Energy.Model.Mrf Energy.Model.Private ~pc:99 ~n:5 ();
+  Energy.Counts.bump_write c Energy.Model.Mrf Energy.Model.Private ~pc:99 ~n:5;
   check Alcotest.int "aggregate keeps out-of-range counts" 5
     (Energy.Counts.writes c Energy.Model.Mrf);
   check (Alcotest.float 0.0) "attribution drops them" 0.0
@@ -262,12 +262,12 @@ let test_merge_adopts_attribution () =
   let a = Energy.Counts.create () in
   let b = Energy.Counts.create () in
   Energy.Counts.enable_attribution b ~instrs:2;
-  Energy.Counts.add_read b Energy.Model.Orf Energy.Model.Private ~pc:1 ~n:4 ();
+  Energy.Counts.bump_read b Energy.Model.Orf Energy.Model.Private ~pc:1 ~n:4;
   Energy.Counts.merge_into ~dst:a b;
   check Alcotest.bool "dst adopts the table" true (Energy.Counts.attribution_enabled a);
   check Alcotest.bool "adoption is a copy" false
     (Energy.Counts.instr_energy params ~orf_entries:3 a ~pc:1 = 0.0);
-  Energy.Counts.add_read b Energy.Model.Orf Energy.Model.Private ~pc:1 ~n:4 ();
+  Energy.Counts.bump_read b Energy.Model.Orf Energy.Model.Private ~pc:1 ~n:4;
   let ea = Energy.Counts.instr_energy params ~orf_entries:3 a ~pc:1 in
   let eb = Energy.Counts.instr_energy params ~orf_entries:3 b ~pc:1 in
   check Alcotest.bool "src growth does not leak into dst" true (eb > ea);

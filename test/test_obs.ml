@@ -627,10 +627,10 @@ let test_regress_timing_tolerance () =
 
 let test_energy_counts_json_roundtrip () =
   let c = Energy.Counts.create () in
-  Energy.Counts.add_read c Energy.Model.Mrf Energy.Model.Private ~n:7 ();
-  Energy.Counts.add_write c Energy.Model.Orf Energy.Model.Shared ~n:3 ();
-  Energy.Counts.add_write c Energy.Model.Lrf Energy.Model.Private ~n:11 ();
-  Energy.Counts.add_rfc_probe c ~n:5 ();
+  Energy.Counts.bump_read c Energy.Model.Mrf Energy.Model.Private ~pc:(-1) ~n:7;
+  Energy.Counts.bump_write c Energy.Model.Orf Energy.Model.Shared ~pc:(-1) ~n:3;
+  Energy.Counts.bump_write c Energy.Model.Lrf Energy.Model.Private ~pc:(-1) ~n:11;
+  Energy.Counts.bump_rfc_probe c ~pc:(-1) ~n:5;
   let j = Energy.Counts.to_json c in
   match Energy.Counts.of_json j with
   | Error e -> Alcotest.fail e
